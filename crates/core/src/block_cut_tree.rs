@@ -34,9 +34,7 @@ pub struct BlockCutTree {
     pub edges: Vec<(u32, V)>,
     /// CSR offsets of the cut-side adjacency: the blocks containing the cut
     /// vertex `cuts[i]` are `cut_adj[cut_offsets[i] .. cut_offsets[i + 1]]`.
-    /// Length `cuts.len() + 1`. The query index
-    /// ([`crate::query::BccIndex`]) consumes the same arrays when it builds
-    /// the full forest CSR.
+    /// Length `cuts.len() + 1`.
     pub cut_offsets: Vec<u32>,
     /// Block labels grouped by cut vertex (the arcs of the cut-side CSR),
     /// ascending within each group.

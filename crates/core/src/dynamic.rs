@@ -45,8 +45,10 @@
 //! **Tag staleness contract**: after an incremental batch the result's
 //! `tags.parent` is maintained, but `first`/`last`/`low`/`high` are stale.
 //! Every shipped consumer (`bcc_of_edge`, `same_bcc`, `canonical_bccs`,
-//! `articulation_points`, `bridges`, `block_cut_tree`, `BccIndex::build`)
-//! reads only `labels`/`head`/`label_count`/`parent`.
+//! `articulation_points`, `bridges`, `block_cut_tree`) reads only
+//! `labels`/`head`/`label_count`/`parent`, and `BccIndex::build` reads
+//! only `labels`/`head`/`label_count` (it roots the block–cut forest from
+//! the heads, so it needs no tour of its own from the solve).
 
 use crate::algo::BccResult;
 use crate::engine::{result_heap_bytes, BccEngine};

@@ -3,8 +3,7 @@
 //! The solver produces the paper's `O(n)` BCC representation; the paper's
 //! introduction motivates BCC as the substrate for *downstream queries* —
 //! network reliability, centrality, planarity. This module is that layer:
-//! a read-only index built **once** from a [`BccResult`] plus its
-//! [`BlockCutTree`], answering
+//! a read-only index built **once** from a [`BccResult`], answering
 //!
 //! | query | answer | cost |
 //! |---|---|---|
@@ -14,15 +13,19 @@
 //! | [`cut_vertices_on_path(u, v)`](BccIndex::cut_vertices_on_path) | # articulation points separating `u` from `v` | `O(B)` boundary scans + `O(1)` table |
 //!
 //! The machinery is the classic Euler-tour LCA, instantiated on the
-//! **block–cut forest** instead of the input graph: the forest becomes a
-//! CSR graph, `fastbcc_ett::root_forest` roots it and lays out the global
-//! tour, [`fastbcc_ett::tour_depths`] turns the tour into a ±1 depth
-//! array, and a position-returning block RMQ
-//! ([`fastbcc_primitives::rmq::ArgRmq`]) answers `argmin(depth)` over tour
-//! intervals — the LCA of two forest nodes. Per-node prefix counts of cut
-//! nodes (`cuts_to_root`) then make "articulation points on the tree path"
-//! a four-term sum, which is exactly the set of vertices whose removal
-//! separates the two query endpoints.
+//! **block–cut forest** instead of the input graph. The representation
+//! already roots that forest: a block hangs under the cut node of its
+//! component head, and a cut hangs under the block of its own label, so
+//! every node's parent is an `O(1)` lookup into `labels`/`head`. The
+//! build threads the children onto per-parent lists, ranks one Euler
+//! circuit through every tree ([`fastbcc_ett::rank_circular_lists`]), and
+//! scans the ranked tour into a ±1 depth array; a position-returning block
+//! RMQ ([`fastbcc_primitives::rmq::ArgRmq`]) then answers `argmin(depth)`
+//! over tour intervals — the LCA of two forest nodes. Blocks and cuts
+//! alternate along forest paths, so each node's count of cut nodes on its
+//! root path (`cuts_to_root`) follows from its depth, and "articulation
+//! points on the tree path" is a four-term sum — exactly the set of
+//! vertices whose removal separates the two query endpoints.
 //!
 //! Space follows the repo's discipline: everything is flat `u32` arrays —
 //! five `O(n)` vertex tables plus `O(t)` tour tables and the linear-space
@@ -35,13 +38,16 @@
 //! solve path honors.
 
 use crate::algo::BccResult;
-use crate::block_cut_tree::BlockCutTree;
-use fastbcc_ett::{root_forest, tour_depths};
-use fastbcc_graph::{stats::cc_labels_seq, Graph, NONE, V};
+use crate::postprocess::articulation_points;
+use fastbcc_ett::rank_circular_lists;
+use fastbcc_graph::{NONE, V};
+use fastbcc_primitives::atomics::as_atomic_u32;
+use fastbcc_primitives::pack::pack_index;
 use fastbcc_primitives::par::{par_for, par_for_grain};
 use fastbcc_primitives::rmq::{ArgRmq, RmqKind};
 use fastbcc_primitives::scan::scan_inclusive_inplace;
 use fastbcc_primitives::slice::{uninit_vec, UnsafeSlice};
+use std::sync::atomic::Ordering;
 
 /// One BCC query. Vertex ids must be `< n` (the solved graph's vertex
 /// count); out-of-range ids panic, exactly like the rest of the API.
@@ -145,8 +151,8 @@ pub struct BccIndex {
     // --- block-cut forest (nodes 0..B are blocks, B.. are cuts) ----------
     /// Number of block nodes (`B`).
     num_block_nodes: usize,
-    /// Forest-component representative per node (two vertices can be
-    /// connected through the forest iff their nodes share one).
+    /// Forest-component id per node: the first tour position of the node's
+    /// tree (two vertices are connected iff their nodes share one).
     comp: Vec<u32>,
     /// Euler-tour first position per node.
     first: Vec<u32>,
@@ -165,15 +171,22 @@ pub struct BccIndex {
 }
 
 impl BccIndex {
-    /// Build the index from a solve result and its block–cut tree.
-    /// `O(n + t log t)` work over the forest tour length `t ≤ 4n`. The
-    /// per-element passes are parallel primitives; two small passes (the
-    /// forest-component BFS and the CSR degree counting) run sequentially
-    /// over the forest, which has at most `2n` nodes and `2(n−1)` edges.
-    pub fn build(r: &BccResult, t: &BlockCutTree) -> Self {
+    /// Build the index from a solve result. Reads only `labels`, `head`
+    /// and `label_count` — never the tags, so an index built after an
+    /// incremental [`crate::engine::BccEngine::apply_batch`] (whose tour
+    /// tags are stale) is exact.
+    ///
+    /// `O(n)` expected work. The representation roots the block–cut
+    /// forest itself (see the module docs), so there is no block–cut tree,
+    /// no sort, no search and no re-rooting. Every `O(n)` pass is a
+    /// parallel primitive; only the list ranking's offset pass runs
+    /// sequentially, over its `O(√n)` samples plus one start per tree.
+    pub fn build(r: &BccResult) -> Self {
         let n = r.labels.len();
-        let nb = t.blocks.len();
-        let nc = t.cuts.len();
+        let blocks: Vec<u32> = pack_index(n, |l| r.is_bcc_label(l as u32));
+        let cuts: Vec<V> = articulation_points(r);
+        let nb = blocks.len();
+        let nc = cuts.len();
         let nodes = nb + nc;
 
         // Vertex tables: block sizes, block/cut ranks, forest node ids.
@@ -194,14 +207,14 @@ impl BccIndex {
         let mut block_rank = vec![NONE; n];
         {
             let view = UnsafeSlice::new(&mut block_rank);
-            let blocks = &t.blocks;
+            let blocks = &blocks;
             // SAFETY: block labels are distinct vertices.
             par_for(nb, |i| unsafe { view.write(blocks[i] as usize, i as u32) });
         }
         let mut cut_id = vec![NONE; n];
         {
             let view = UnsafeSlice::new(&mut cut_id);
-            let cuts = &t.cuts;
+            let cuts = &cuts;
             // SAFETY: cut vertices are distinct.
             par_for(nc, |i| unsafe { view.write(cuts[i] as usize, i as u32) });
         }
@@ -237,82 +250,186 @@ impl BccIndex {
             });
         }
 
-        // The block-cut forest as a CSR graph — assembled directly, no
-        // sorting: `t.edges` is already grouped by block (sorted by
-        // `(block, cut)`, and block labels ascend with block ranks), and
-        // the tree's cut-side CSR (`cut_offsets`/`cut_adj`) *is* the cut
-        // half of the adjacency. Nodes 0..nb are blocks, nb.. are cuts;
-        // within every neighbor list the mapped ids stay ascending because
-        // both rank maps are monotone in vertex id.
-        let ne = t.edges.len();
-        let mut offsets = vec![0usize; nodes + 1];
-        for &(b, _) in &t.edges {
-            offsets[block_rank[b as usize] as usize + 1] += 1;
-        }
-        for i in 0..nb {
-            offsets[i + 1] += offsets[i];
-        }
-        for i in 0..=nc {
-            offsets[nb + i] = ne + t.cut_offsets[i] as usize;
-        }
-        // SAFETY: the two scatters below cover `0..ne` and `ne..2*ne`, so
-        // every index is written before use.
-        let mut arcs: Vec<V> = unsafe { uninit_vec(2 * ne) };
+        // Forest parents, read off the representation in O(1) per node.
+        // Nodes 0..nb are blocks (ascending label), nb.. are cuts
+        // (ascending vertex). Block L contains its head h, so L hangs
+        // under h's cut node — or is a root when h is absent or heads L
+        // alone (a spanning-tree root). Cut c sits in its own label's
+        // block, so it hangs under that block — or is a root when its own
+        // class is no BCC (a spanning-tree root heading several blocks).
+        // Blocks and cuts alternate along every forest path.
+        // SAFETY: the scatter below writes every node before use.
+        let mut parent: Vec<u32> = unsafe { uninit_vec(nodes) };
         {
-            let view = UnsafeSlice::new(&mut arcs);
-            let (edges, cut_adj, block_rank, cut_id) = (&t.edges, &t.cut_adj, &block_rank, &cut_id);
-            // Block side: the grouped edge list in order. SAFETY: slot j
-            // (and ne + j below) written exactly once.
-            par_for(ne, |j| unsafe {
-                view.write(j, nb as u32 + cut_id[edges[j].1 as usize])
-            });
-            // Cut side: the tree's cut CSR with labels mapped to ranks.
-            par_for(ne, |j| unsafe {
-                view.write(ne + j, block_rank[cut_adj[j] as usize])
-            });
-        }
-        let forest = Graph::from_raw_parts(offsets, arcs);
-        let comp = cc_labels_seq(&forest);
-        let rf = root_forest(&forest, &comp, 0xB1_0C5);
-        let lca = ArgRmq::build_from(tour_depths(&rf), RmqKind::Min);
-
-        // Cut-node prefix counts along the tour: the same ±1-walk trick as
-        // tour_depths, with "is a cut node" as the weight. The running
-        // value at any position p is the number of cut nodes on the path
-        // from tour[p]'s root to tour[p], inclusive.
-        let tlen = rf.tour_len();
-        let is_cut_node = |x: V| (x as usize >= nb) as i32;
-        // SAFETY: the scatter below writes every tour position before use.
-        let mut csteps: Vec<i32> = unsafe { uninit_vec(tlen) };
-        {
-            let view = UnsafeSlice::new(&mut csteps);
-            let tour = &rf.tour_vertex;
-            par_for(tlen, |p| {
-                let s = if p == 0 {
-                    is_cut_node(tour[0])
-                } else {
-                    let y = tour[p];
-                    let x = tour[p - 1];
-                    if rf.parent[y as usize] == x {
-                        is_cut_node(y) // entering y from its parent
-                    } else if rf.parent[y as usize] == NONE && rf.first[y as usize] as usize == p {
-                        is_cut_node(y) - is_cut_node(x) // tree boundary reset
+            let view = UnsafeSlice::new(&mut parent);
+            let (blocks, cuts, cut_id, block_rank) = (&blocks, &cuts, &cut_id, &block_rank);
+            par_for(nodes, |x| {
+                let p = if x < nb {
+                    let h = r.head[blocks[x] as usize];
+                    if h != NONE && cut_id[h as usize] != NONE {
+                        nb as u32 + cut_id[h as usize]
                     } else {
-                        -is_cut_node(x) // returning from child x to y
+                        NONE
                     }
+                } else {
+                    block_rank[r.labels[cuts[x - nb] as usize] as usize]
                 };
-                // SAFETY: position p written exactly once.
-                unsafe { view.write(p, s) };
+                // SAFETY: node x written exactly once.
+                unsafe { view.write(x, p) };
             });
         }
-        scan_inclusive_inplace(&mut csteps, 0i32, |a, b| a + b);
+        drop((blocks, cuts, block_rank));
+
+        // Children as per-parent linked lists: one atomic swap per child
+        // (`first_child[p]`, `next_sib[c]`). Roots have no siblings, so
+        // their `next_sib` slot chains the trees instead: root i points at
+        // root i + 1, cyclically.
+        let mut first_child = vec![NONE; nodes];
+        // SAFETY: the scatter below writes every node before use.
+        let mut next_sib: Vec<u32> = unsafe { uninit_vec(nodes) };
+        {
+            let heads = as_atomic_u32(&mut first_child);
+            let view = UnsafeSlice::new(&mut next_sib);
+            let parent = &parent;
+            par_for(nodes, |x| {
+                let p = parent[x];
+                let s = if p != NONE {
+                    // Relaxed: the loop's join orders every swap before
+                    // the lists are read.
+                    heads[p as usize].swap(x as u32, Ordering::Relaxed)
+                } else {
+                    NONE
+                };
+                // SAFETY: node x written exactly once.
+                unsafe { view.write(x, s) };
+            });
+        }
+        let roots: Vec<u32> = pack_index(nodes, |x| parent[x] == NONE);
+        let k = roots.len();
+        {
+            let view = UnsafeSlice::new(&mut next_sib);
+            let roots = &roots;
+            // SAFETY: roots are distinct nodes.
+            par_for(k, |i| unsafe {
+                view.write(roots[i] as usize, roots[(i + 1) % k])
+            });
+        }
+
+        // One Euler circuit over every tree: list node 2x enters x, 2x+1
+        // leaves it (the tour's return to x's parent). A root's leave slot
+        // has no tour entry, so the circuit jumps from a tree's last step
+        // straight into the next root, and the slot becomes its own
+        // one-node list. Ranking from the first root then yields global
+        // tour positions for all `2·nodes − k` entries directly.
+        // SAFETY: the scatter below writes both slots of every node.
+        let mut succ: Vec<u32> = unsafe { uninit_vec(2 * nodes) };
+        {
+            let view = UnsafeSlice::new(&mut succ);
+            let (parent, first_child, next_sib) = (&parent, &first_child, &next_sib);
+            let enter = |x: u32| 2 * x;
+            let leave = |x: u32| 2 * x + 1;
+            // Where the tour goes after the last step of x's subtree.
+            let after = |x: u32| {
+                let p = parent[x as usize];
+                if p == NONE {
+                    enter(next_sib[x as usize]) // next tree
+                } else if next_sib[x as usize] != NONE {
+                    enter(next_sib[x as usize])
+                } else if parent[p as usize] == NONE {
+                    enter(next_sib[p as usize]) // p's spare slot, skipped
+                } else {
+                    leave(p)
+                }
+            };
+            par_for(nodes, |x| {
+                let x = x as u32;
+                let fc = first_child[x as usize];
+                let is_root = parent[x as usize] == NONE;
+                let on_enter = if fc != NONE {
+                    enter(fc)
+                } else if is_root {
+                    after(x)
+                } else {
+                    leave(x)
+                };
+                let on_leave = if is_root { leave(x) } else { after(x) };
+                // SAFETY: slots 2x and 2x+1 are owned by node x.
+                unsafe {
+                    view.write(enter(x) as usize, on_enter);
+                    view.write(leave(x) as usize, on_leave);
+                }
+            });
+        }
+        drop((first_child, next_sib));
+        let mut starts = Vec::with_capacity(k + 1);
+        starts.extend(roots.first().map(|&r0| 2 * r0));
+        starts.extend(roots.iter().map(|&x| 2 * x + 1));
+        drop(roots);
+        let rank = rank_circular_lists(&succ, &starts, 0xB1_0C5);
+        drop((succ, starts));
+
+        // Scatter the ranks into the tour, the `first` table, the ±1 depth
+        // steps (0 on entering a root, so every tree starts at depth 0)
+        // and the tree-start marks; two scans finish depths and tree ids.
+        let tlen = 2 * nodes - k;
+        // SAFETY: the scatter below writes every tour position and node.
+        let mut tour_node: Vec<u32> = unsafe { uninit_vec(tlen) };
+        let mut first: Vec<u32> = unsafe { uninit_vec(nodes) };
+        let mut depth: Vec<u32> = unsafe { uninit_vec(tlen) };
+        let mut tree_start = vec![0u32; tlen];
+        {
+            let tour_v = UnsafeSlice::new(&mut tour_node);
+            let first_v = UnsafeSlice::new(&mut first);
+            let depth_v = UnsafeSlice::new(&mut depth);
+            let start_v = UnsafeSlice::new(&mut tree_start);
+            let (parent, rank) = (&parent, &rank);
+            par_for(nodes, |x| {
+                let p = parent[x];
+                let pos = rank[2 * x] as usize;
+                // SAFETY: tour positions are a bijection onto the entered
+                // and returned-to slots, and node x is written once.
+                unsafe {
+                    tour_v.write(pos, x as u32);
+                    first_v.write(x, pos as u32);
+                    depth_v.write(pos, (p != NONE) as u32);
+                    if p == NONE {
+                        start_v.write(pos, pos as u32);
+                    } else {
+                        let back = rank[2 * x + 1] as usize;
+                        tour_v.write(back, p);
+                        depth_v.write(back, u32::MAX); // −1, wrapping
+                    }
+                }
+            });
+        }
+        drop(rank);
+        // Every prefix sum is a real depth (non-negative), so the wrapping
+        // u32 sum of the ±1 steps is exact.
+        scan_inclusive_inplace(&mut depth, 0u32, u32::wrapping_add);
+        scan_inclusive_inplace(&mut tree_start, 0u32, u32::max);
+
+        // Per node: its tree id (the tree's first tour position) and the
+        // number of cut nodes on its root path. Blocks and cuts alternate,
+        // so the count follows from the depth and the root's kind.
+        // SAFETY: the scatters below write every node before use.
+        let mut comp: Vec<u32> = unsafe { uninit_vec(nodes) };
         let mut cuts_to_root: Vec<u32> = unsafe { uninit_vec(nodes) };
         {
-            let view = UnsafeSlice::new(&mut cuts_to_root);
-            let (first, csteps) = (&rf.first, &csteps);
-            // SAFETY: one write per node.
-            par_for(nodes, |x| unsafe {
-                view.write(x, csteps[first[x] as usize] as u32)
+            let comp_v = UnsafeSlice::new(&mut comp);
+            let ctr_v = UnsafeSlice::new(&mut cuts_to_root);
+            let (first, depth, tree_start, tour_node) = (&first, &depth, &tree_start, &tour_node);
+            par_for(nodes, |x| {
+                let f = first[x] as usize;
+                let (c, d) = (tree_start[f], depth[f]);
+                // Cut nodes sit at odd depths under a block root and at
+                // even depths under a cut root.
+                let root_is_cut = tour_node[c as usize] as usize >= nb;
+                let cuts = (d + 1 + root_is_cut as u32) / 2;
+                // SAFETY: node x written exactly once.
+                unsafe {
+                    comp_v.write(x, c);
+                    ctr_v.write(x, cuts);
+                }
             });
         }
 
@@ -324,10 +441,10 @@ impl BccIndex {
             node_of,
             num_block_nodes: nb,
             comp,
-            first: rf.first,
-            tour_node: rf.tour_vertex,
+            first,
+            tour_node,
             cuts_to_root,
-            lca,
+            lca: ArgRmq::build_from(depth, RmqKind::Min),
             version: 0,
         }
     }
@@ -506,14 +623,11 @@ impl BccIndex {
 mod tests {
     use super::*;
     use crate::algo::{fast_bcc, BccOpts};
-    use crate::block_cut_tree::block_cut_tree;
     use fastbcc_graph::generators::classic::*;
     use fastbcc_graph::Graph;
 
     fn index_of(g: &Graph) -> BccIndex {
-        let r = fast_bcc(g, BccOpts::default());
-        let t = block_cut_tree(&r);
-        BccIndex::build(&r, &t)
+        BccIndex::build(&fast_bcc(g, BccOpts::default()))
     }
 
     #[test]

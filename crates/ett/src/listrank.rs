@@ -8,8 +8,10 @@
 //! scatter all nodes into a contiguous array."
 //!
 //! Works on a set of disjoint **circular** successor lists (one Euler
-//! circuit per tree). Each list must contain at least one designated start
-//! node; ranks are positions relative to that start. With random sampling
+//! circuit per tree here; the core crate's query index ranks one circuit
+//! through every tree of the block–cut forest, with each root's unused
+//! slot as a one-node list). Each list must contain at least one
+//! designated start node; ranks are positions relative to that start. With random sampling
 //! the longest inter-sample segment is `O(√n log n)` w.h.p., which bounds
 //! the span; total work is `O(n)`.
 

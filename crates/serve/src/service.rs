@@ -421,7 +421,9 @@ impl Rebuilder {
     }
 
     /// Shared publish tail: index the engine's current result, publish it
-    /// as the next version, and update every counter. `n`/`m` are the
+    /// as the next version, and update every counter. The index reads only
+    /// the result's labels and heads, so it is exact after an incremental
+    /// `apply_batch` too, whose tour tags are stale. `n`/`m` are the
     /// solved graph's shape, passed explicitly because view rebuilds
     /// leave no graph attached to the engine.
     fn finish_rebuild(

@@ -75,8 +75,9 @@
 //!   `PARKED`. At least one of the two therefore sees the other; the
 //!   pusher serializes on the pool lock before notifying, closing the
 //!   scan-to-`wait` window of a worker that holds that lock.
-//! * **Region tickets** (`Region::active`) — a Relaxed
-//!   `fetch_add`-then-check with a compensating `fetch_sub` on rejection.
+//! * **Region tickets** (`Region::active`, `Region::peak_helpers`) — a
+//!   Relaxed `fetch_add`-then-check with a compensating `fetch_sub` on
+//!   rejection.
 //!   Only the *count* matters (no data is published along this edge), so
 //!   Relaxed suffices; the invariant is that successful `try_ticket`s
 //!   never exceed `cap`.
@@ -145,12 +146,25 @@ pub fn pool_max_workers() -> usize {
 // Regions: the concurrency budget of one installed pool scope
 // ---------------------------------------------------------------------------
 
+/// Half-word shift of `Region::active`'s helper count.
+const HELPER_SHIFT: u32 = usize::BITS / 2;
+/// One helper ticket: counted in `active`'s low half with every other
+/// ticket, and in its high half on its own, so one RMW moves both.
+const HELPER_TICKET: usize = (1 << HELPER_SHIFT) + 1;
+/// Mask of `active`'s low half (all tickets held).
+const TICKETS: usize = (1 << HELPER_SHIFT) - 1;
+
 /// A budget of `cap` tickets shared by every job submitted under one
 /// `install` scope (or the process-wide default scope). One ticket is one
 /// thread — submitter or helper — currently running the region's bodies.
 struct Region {
     cap: usize,
+    /// Low half: tickets held. High half: how many of them pool helpers
+    /// hold (submitters take the rest).
     active: AtomicUsize,
+    /// High-water mark of helper tickets held at once — the region-scoped
+    /// answer to "how many pool workers did this budget run together".
+    peak_helpers: AtomicUsize,
 }
 
 impl Region {
@@ -158,25 +172,41 @@ impl Region {
         Arc::new(Self {
             cap: cap.max(1),
             active: AtomicUsize::new(0),
+            peak_helpers: AtomicUsize::new(0),
         })
     }
 
     /// Helper-side acquisition: backs off when the region is at capacity.
+    /// Release with [`release_helper_ticket`](Self::release_helper_ticket).
     ///
     /// Relaxed is enough for the whole ticket protocol: `active` is a pure
     /// counter whose add/sub pairs on each thread keep the *sum* exact
     /// (the RMWs are atomic, so overshoot from a failed attempt is always
     /// undone); tickets guard a budget, not data, so no happens-before
-    /// edge is needed.
+    /// edge is needed. A rejected attempt still pending its undo inflates
+    /// the helper half a successful one reads, so `peak_helpers` can only
+    /// over-report.
     fn try_ticket(&self) -> bool {
-        let prev = self.active.fetch_add(1, Ordering::Relaxed);
-        if prev >= self.cap {
+        let prev = self.active.fetch_add(HELPER_TICKET, Ordering::Relaxed);
+        if prev & TICKETS >= self.cap {
             // Relaxed: undoes our own optimistic add (see above).
-            self.active.fetch_sub(1, Ordering::Relaxed);
+            self.active.fetch_sub(HELPER_TICKET, Ordering::Relaxed);
             false
         } else {
+            // Relaxed: a monotone statistic, read after the region's work
+            // has joined (same ticket protocol as above). The load keeps
+            // the common case, no new peak, free of a second RMW.
+            let helpers = (prev >> HELPER_SHIFT) + 1;
+            if helpers > self.peak_helpers.load(Ordering::Relaxed) {
+                self.peak_helpers.fetch_max(helpers, Ordering::Relaxed);
+            }
             true
         }
+    }
+
+    fn release_helper_ticket(&self) {
+        // Relaxed: pure budget counter, see `try_ticket`.
+        self.active.fetch_sub(HELPER_TICKET, Ordering::Relaxed);
     }
 
     /// Submitter-side acquisition: a submitter always participates in its
@@ -194,7 +224,7 @@ impl Region {
     fn saturated(&self) -> bool {
         // Relaxed: an advisory check — a stale read only costs one futile
         // publish or skipped attach, never a budget violation.
-        self.active.load(Ordering::Relaxed) >= self.cap
+        self.active.load(Ordering::Relaxed) & TICKETS >= self.cap
     }
 }
 
@@ -781,7 +811,7 @@ fn work_attached(job: &Arc<Job>, deque: &Deque) {
     }
     // Relaxed: pure counter, pairs with the attach-side fetch_add.
     job.helpers.fetch_sub(1, Ordering::Relaxed);
-    job.region.release_ticket();
+    job.region.release_helper_ticket();
 }
 
 /// Run pieces `[lo, hi)`, publishing the upper half onto `deque` at each
@@ -902,7 +932,7 @@ fn run_stolen(task: Task, my_deque: &Deque) {
             execute_range(j, t.lo, t.hi, Some(my_deque));
         }
     }
-    region.release_ticket();
+    region.release_helper_ticket();
     pool().work_cv.notify_all();
 }
 
@@ -1138,6 +1168,16 @@ impl ThreadPool {
     pub fn current_num_threads(&self) -> usize {
         self.threads
     }
+
+    /// Most pool helpers that ever ran this pool's work at once, on top of
+    /// the submitting threads (shim extension; real rayon has no
+    /// equivalent). Scoped to this pool's budget, unlike the process-wide
+    /// [`pool_spawn_count`]: a helper attaches only while a submitter of
+    /// the region holds a ticket, so this stays below the worker count.
+    pub fn peak_helpers(&self) -> usize {
+        // Relaxed: monotone statistic (see `Region::try_ticket`).
+        self.region.peak_helpers.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(all(test, feature = "model"))]
@@ -1290,6 +1330,38 @@ mod tests {
             }
         }
         assert!(stable, "pool kept spawning threads on warm operations");
+    }
+
+    /// A region's helper high-water mark stays below its budget however
+    /// many OS threads submit into it: helpers only fill the budget the
+    /// submitters leave, and every submitter holds a ticket of its own.
+    #[test]
+    fn peak_helpers_stay_below_the_budget() {
+        for threads in [1usize, 2, 4] {
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let sum = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                for _ in 0..3 {
+                    s.spawn(|| {
+                        pool.install(|| {
+                            run_parallel(256, &|i| {
+                                // Relaxed: test tally, read after the join.
+                                sum.fetch_add(i, Ordering::Relaxed);
+                            });
+                        })
+                    });
+                }
+            });
+            assert_eq!(sum.into_inner(), 3 * (255 * 256 / 2));
+            assert!(
+                pool.peak_helpers() < threads.max(2),
+                "{} helpers at once under a budget of {threads}",
+                pool.peak_helpers()
+            );
+        }
     }
 
     #[test]

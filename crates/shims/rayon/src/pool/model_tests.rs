@@ -177,7 +177,7 @@ fn contend(region: Arc<Region>, holders: Arc<ModelUsize>, cap: usize) {
             "{now} concurrent ticket holders under cap {cap}"
         );
         holders.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-        region.release_ticket();
+        region.release_helper_ticket();
     }
 }
 
@@ -198,6 +198,7 @@ fn region_budget(cap: usize) -> impl Fn() + Send + Sync + 'static {
         // All tickets returned: the budget must be whole again.
         assert!(!region.saturated() || cap == 0);
         assert_eq!(region.active.load(Ordering::Relaxed), 0);
+        assert!(region.peak_helpers.load(Ordering::Relaxed) <= cap);
     }
 }
 

@@ -40,7 +40,11 @@ fn warm_solve_spawns_zero_threads() {
 
 /// Two engines solving different graphs from two OS threads share the
 /// pool: both produce correct BCCs (vs. Hopcroft–Tarjan) and the pool
-/// never grows past the default budget (no oversubscription, no panics).
+/// never runs more helpers at once than the default budget admits (no
+/// oversubscription, no panics). Both engines submit into one budget of
+/// the default size, and the check reads that budget's own helper
+/// high-water mark: the process-wide spawn counter also counts workers
+/// that sibling tests legitimately spawn under larger budgets.
 #[test]
 #[cfg_attr(miri, ignore = "OS threads, spin loops, and wall-clock timing")]
 fn concurrent_engines_share_the_pool() {
@@ -49,19 +53,26 @@ fn concurrent_engines_share_the_pool() {
     let gb = generators::web_like(12, 30_000, 0xFA57_BCC);
     let expect_a = hopcroft_tarjan(&ga, false).num_bcc;
     let expect_b = hopcroft_tarjan(&gb, false).num_bcc;
+    let pool = rayon::ThreadPoolBuilder::new()
+        .build()
+        .expect("default-budget pool");
 
     std::thread::scope(|s| {
         let ta = s.spawn(|| {
-            let mut engine = BccEngine::new(BccOpts::default());
-            (0..3)
-                .map(|_| engine.solve(&ga).num_bcc)
-                .collect::<Vec<_>>()
+            pool.install(|| {
+                let mut engine = BccEngine::new(BccOpts::default());
+                (0..3)
+                    .map(|_| engine.solve(&ga).num_bcc)
+                    .collect::<Vec<_>>()
+            })
         });
         let tb = s.spawn(|| {
-            let mut engine = BccEngine::new(BccOpts::default());
-            (0..3)
-                .map(|_| engine.solve(&gb).num_bcc)
-                .collect::<Vec<_>>()
+            pool.install(|| {
+                let mut engine = BccEngine::new(BccOpts::default());
+                (0..3)
+                    .map(|_| engine.solve(&gb).num_bcc)
+                    .collect::<Vec<_>>()
+            })
         });
         let counts_a = ta.join().expect("engine A panicked");
         let counts_b = tb.join().expect("engine B panicked");
@@ -69,13 +80,18 @@ fn concurrent_engines_share_the_pool() {
         assert!(counts_b.iter().all(|&c| c == expect_b));
     });
 
-    // Budget check: the shared pool never spawns more workers than the
-    // default budget admits, no matter how many engines submit to it.
-    let budget = fastbcc_primitives::num_threads().max(1);
+    // Budget check: the shared budget never runs more helpers than it
+    // admits, no matter how many engines submit to it.
+    let budget = pool.current_num_threads().max(1);
+    assert_eq!(budget, fastbcc_primitives::num_threads().max(1));
     assert!(
-        pool_spawns() < budget.max(2),
-        "pool spawned {} workers with a default budget of {budget}",
-        pool_spawns()
+        pool.peak_helpers() < budget.max(2),
+        "{} pool helpers ran at once under a default budget of {budget}",
+        pool.peak_helpers()
+    );
+    assert!(
+        pool_spawns() <= max_workers(),
+        "pool spawned past its ceiling"
     );
 }
 

@@ -12,8 +12,7 @@ use proptest::prelude::*;
 
 fn build_index(g: &Graph) -> (BccResult, BccIndex) {
     let r = fast_bcc(g, BccOpts::default());
-    let t = block_cut_tree(&r);
-    let ix = BccIndex::build(&r, &t);
+    let ix = BccIndex::build(&r);
     (r, ix)
 }
 
@@ -67,6 +66,12 @@ fn same_bcc_truth(bccs: &[Vec<V>], u: V, v: V) -> bool {
 /// Check every query kind over all vertex pairs of a small graph.
 fn check_all_pairs(g: &Graph) -> Result<(), TestCaseError> {
     let (_, ix) = build_index(g);
+    check_index(g, &ix)
+}
+
+/// Check every query kind of `ix` over all vertex pairs of `g` against the
+/// Hopcroft–Tarjan and brute-force oracles.
+fn check_index(g: &Graph, ix: &BccIndex) -> Result<(), TestCaseError> {
     let ht = hopcroft_tarjan(g, true);
     let bccs = ht.bccs.as_ref().unwrap();
     let n = g.n() as V;
@@ -133,6 +138,216 @@ fn zoo_graphs_match_ground_truth() {
         path(2),
     ] {
         check_all_pairs(&g).unwrap();
+    }
+}
+
+/// Forests of many trees: one block–cut tree per non-trivial component,
+/// all chained into one Euler circuit, with isolated vertices (no forest
+/// node at all) interleaved between them.
+#[test]
+fn many_trees_and_isolated_vertices() {
+    use fast_bcc::graph::generators::classic::*;
+    let e1 = Graph::empty(1);
+    let trees = [
+        windmill(2),
+        path(4),
+        cycle(4),
+        star(4),
+        path(2),
+        complete(4),
+        path(3),
+        barbell(3, 1),
+    ];
+    let mut parts = vec![&e1];
+    for t in &trees {
+        parts.extend([t, &e1]);
+    }
+    check_all_pairs(&disjoint_union(&parts)).unwrap();
+    // Twelve one-edge trees with an isolated vertex after each.
+    let pairs: Vec<(V, V)> = (0..12).map(|i| (3 * i, 3 * i + 1)).collect();
+    check_all_pairs(&builder::from_edges(36, &pairs)).unwrap();
+}
+
+/// Single-block components: each block–cut tree is one block node with
+/// no cut, so its tour is a single entry.
+#[test]
+fn single_block_components() {
+    use fast_bcc::graph::generators::classic::*;
+    for g in [
+        disjoint_union(&[&cycle(5), &complete(4), &path(2), &petersen(), &cycle(3)]),
+        disjoint_union(&[&path(2), &path(2), &path(2), &Graph::empty(2), &path(2)]),
+        complete(7),
+    ] {
+        let (r, ix) = build_index(&g);
+        assert_eq!(ix.num_cuts(), 0);
+        assert_eq!(ix.num_blocks(), r.num_bcc);
+        check_index(&g, &ix).unwrap();
+    }
+}
+
+/// The spanning-tree root's label class is not a BCC, so the build roots
+/// its block–cut tree at the one block the root heads, or at the root's
+/// own cut node when it heads several. Both shapes must show up in this
+/// family (asserted from the solve's parent array) and answer exactly.
+#[test]
+fn spanning_tree_root_heading_one_or_several_blocks() {
+    use fast_bcc::graph::generators::classic::*;
+    let relabel = |g: &Graph, shift: usize| {
+        let n = g.n();
+        let mut edges = Vec::new();
+        for u in 0..n as V {
+            for &v in g.neighbors(u) {
+                if u < v {
+                    edges.push(((u as usize + shift) % n, (v as usize + shift) % n));
+                }
+            }
+        }
+        let edges: Vec<(V, V)> = edges.iter().map(|&(a, b)| (a as V, b as V)).collect();
+        builder::from_edges(n, &edges)
+    };
+    let (mut heads_one, mut heads_several) = (0, 0);
+    for base in [path(7), star(6), windmill(3), barbell(3, 2), binary_tree(9)] {
+        for shift in 0..base.n() {
+            let g = relabel(&base, shift);
+            let (r, ix) = build_index(&g);
+            for root in (0..g.n()).filter(|&v| r.tags.parent[v] == NONE) {
+                match r.head.iter().filter(|&&h| h == root as V).count() {
+                    0 => {}
+                    1 => heads_one += 1,
+                    _ => heads_several += 1,
+                }
+            }
+            check_index(&g, &ix).unwrap();
+        }
+    }
+    assert!(
+        heads_one > 0,
+        "no spanning-tree root heads exactly one block"
+    );
+    assert!(
+        heads_several > 0,
+        "no spanning-tree root heads several blocks"
+    );
+}
+
+/// A 2^16-vertex path: a block–cut tree of depth ~2^17, the shape whose
+/// tour the old sequential forest passes walked end to end. Membership
+/// answers are checked against Hopcroft–Tarjan; on a path the vertices
+/// separating `u` from `v` are exactly those strictly between them.
+#[test]
+fn long_path_index() {
+    use fast_bcc::graph::generators::classic::path;
+    let n = 1usize << 16;
+    let g = path(n);
+    let (_, ix) = build_index(&g);
+    let ht = hopcroft_tarjan(&g, false);
+    assert_eq!(ix.num_blocks(), ht.num_bcc);
+    assert_eq!(ix.num_cuts(), ht.articulation_points.len());
+    for &v in &ht.articulation_points {
+        assert!(ix.is_articulation(v));
+    }
+    assert!(!ix.is_articulation(0) && !ix.is_articulation(n as V - 1));
+    let mut rng = fast_bcc::primitives::rng::Rng::new(0x9A7);
+    let ends = [0, 1, n - 2, n - 1];
+    for i in 0..20_000 {
+        let (u, v) = if i < 16 {
+            (ends[i / 4], ends[i % 4])
+        } else {
+            let u = rng.index(n);
+            (
+                u,
+                if i % 2 == 0 {
+                    rng.index(n)
+                } else {
+                    (u + 1).min(n - 1)
+                },
+            )
+        };
+        let (u, v) = (u as V, v as V);
+        let adjacent = u.abs_diff(v) == 1;
+        assert_eq!(ix.same_bcc(u, v), adjacent || u == v, "same_bcc({u}, {v})");
+        assert_eq!(ix.is_bridge(u, v), adjacent, "is_bridge({u}, {v})");
+        assert_eq!(
+            ht.bridges.contains(&(u.min(v), u.max(v))),
+            adjacent,
+            "HT bridge ({u}, {v})"
+        );
+        let between = u.abs_diff(v).saturating_sub(1);
+        assert_eq!(
+            ix.cut_vertices_on_path(u, v),
+            Some(between),
+            "cut_vertices_on_path({u}, {v})"
+        );
+    }
+}
+
+/// After an incremental `apply_batch` the result's tour tags
+/// (`first`/`last`/`low`/`high`) are stale. The index must not care: it
+/// answers exactly like the index of a fresh solve of the evolved graph
+/// and matches the oracles on it.
+#[test]
+fn index_after_incremental_batch_matches_fresh_solve() {
+    use fast_bcc::graph::generators::grid2d;
+    let mut incremental = 0;
+    for seed in 0..8u64 {
+        let g0 = grid2d(6, 8, false);
+        let mut engine = BccEngine::new(BccOpts::default());
+        engine.dyn_opts_mut().max_churn_frac = 1.0;
+        engine.attach(&g0);
+        let mut rng = fast_bcc::primitives::rng::Rng::new(seed);
+        let n = g0.n();
+        for _round in 0..3 {
+            let g = engine.graph().unwrap();
+            let mut dels = Vec::new();
+            for u in 0..n as V {
+                for &v in g.neighbors(u) {
+                    if u < v && rng.index(6) == 0 {
+                        dels.push((u, v));
+                    }
+                }
+            }
+            let adds: Vec<(V, V)> = (0..2)
+                .map(|_| (rng.index(n) as V, rng.index(n) as V))
+                .filter(|&(a, b)| a != b)
+                .collect();
+            engine.apply_batch(&adds, &dels);
+            incremental += engine.last_apply_report().unwrap().incremental as usize;
+            let ix = engine.build_index();
+            let g = engine.graph().unwrap().clone();
+            let (_, fresh) = build_index(&g);
+            for u in 0..n as V {
+                for v in 0..n as V {
+                    for q in [
+                        Query::SameBcc(u, v),
+                        Query::IsBridge(u, v),
+                        Query::CutVerticesOnPath(u, v),
+                        Query::IsArticulation(u),
+                    ] {
+                        assert_eq!(ix.answer(q), fresh.answer(q), "seed {seed}: {q:?}");
+                    }
+                }
+            }
+            assert_eq!(ix.bytes(), fresh.bytes(), "seed {seed}");
+            check_index(&g, &ix).unwrap();
+        }
+    }
+    assert!(incremental > 0, "no batch took the incremental path");
+}
+
+/// The build reads only `labels`, `head` and `label_count`: an index over
+/// a result whose tags were dropped answers exactly like the original.
+#[test]
+fn build_never_reads_the_tags() {
+    use fast_bcc::graph::generators::classic::*;
+    use fast_bcc::graph::generators::rmat;
+    for g in [barbell(4, 2), clique_chain(4, 3), rmat(8, 700, 5), path(40)] {
+        let (mut r, want) = build_index(&g);
+        r.tags = Default::default();
+        let ix = BccIndex::build(&r);
+        for q in random_mixed_batch(g.n(), 2048, 77) {
+            assert_eq!(ix.answer(q), want.answer(q), "{q:?}");
+        }
+        assert_eq!(ix.bytes(), want.bytes());
     }
 }
 
